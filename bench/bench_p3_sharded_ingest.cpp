@@ -121,8 +121,8 @@ class SingleShardStore {
     for (const auto& [k, _] : accums) keys.push_back(k);
     const auto rank = telemetry::pair_name_ranks(segments_.at(day).pair_ids());
     std::sort(keys.begin(), keys.end(), [&](std::uint64_t a, std::uint64_t b) {
-      const auto pa = rank.at(static_cast<util::PairId>(a >> 32));
-      const auto pb = rank.at(static_cast<util::PairId>(b >> 32));
+      const auto pa = rank[static_cast<util::PairId>(a >> 32)];
+      const auto pb = rank[static_cast<util::PairId>(b >> 32)];
       if (pa != pb) return pa < pb;
       return (a & 0xFFFFFFFFu) < (b & 0xFFFFFFFFu);
     });

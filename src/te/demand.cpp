@@ -1,6 +1,7 @@
 #include "te/demand.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "util/contracts.h"
@@ -33,19 +34,20 @@ double DemandMatrix::total_gbps() const noexcept {
 }
 
 DemandMatrix DemandMatrix::from_log(const telemetry::BandwidthLog& log, DemandStatistic stat) {
-  // Group the columnar log by pair id — no string materialization.
-  std::unordered_map<util::PairId, std::vector<double>> series;
-  const auto pairs = log.pair_ids();
+  // Group the columnar log by pair id with one counting sort; each pair's
+  // values are gathered in log order — no string materialization.
+  const telemetry::PairGroups groups = telemetry::group_rows_by_pair(log.pair_ids());
   const auto bw = log.bandwidths();
-  for (std::size_t i = 0; i < log.record_count(); ++i) {
-    series[pairs[i]].push_back(bw[i]);
-  }
   std::vector<util::PairId> keys;
-  keys.reserve(series.size());
-  for (const auto& [pair, _] : series) keys.push_back(pair);
+  for (util::PairId pair = 0; pair < groups.id_bound(); ++pair) {
+    if (!groups.rows(pair).empty()) keys.push_back(pair);
+  }
   DemandMatrix matrix;
+  std::vector<double> values;
   for (const util::PairId pair : name_sorted(std::move(keys))) {
-    const util::Summary s = util::summarize(series.at(pair));
+    values.clear();
+    for (const std::uint32_t row : groups.rows(pair)) values.push_back(bw[row]);
+    const util::Summary s = util::summarize(values);
     double value = s.mean;
     if (stat == DemandStatistic::kP95) value = s.p95;
     if (stat == DemandStatistic::kMax) value = s.max;
@@ -93,18 +95,16 @@ DemandMatrix DemandMatrix::from_forecast(const telemetry::BandwidthLog& log,
   // themselves are per-pair and independent.
   const std::vector<std::pair<util::PairId, telemetry::Series>> all =
       telemetry::extract_all_series(log);
-  std::vector<util::PairId> keys;
-  keys.reserve(all.size());
-  std::unordered_map<util::PairId, const telemetry::Series*> series_of;
-  series_of.reserve(all.size());
-  for (const auto& [pair, series] : all) {
-    keys.push_back(pair);
-    series_of.emplace(pair, &series);
-  }
+  std::vector<std::size_t> by_name(all.size());
+  std::iota(by_name.begin(), by_name.end(), std::size_t{0});
+  const util::IdSpace& ids = util::IdSpace::global();
+  std::sort(by_name.begin(), by_name.end(), [&](std::size_t a, std::size_t b) {
+    return ids.pair_name_less(all[a].first, all[b].first);
+  });
   DemandMatrix matrix;
   std::vector<double> predicted;
-  for (const util::PairId pair : name_sorted(std::move(keys))) {
-    const telemetry::Series& series = *series_of.at(pair);
+  for (const std::size_t k : by_name) {
+    const auto& [pair, series] = all[k];
     if (series.values.empty()) continue;
     predicted = telemetry::forecast(series, horizon, method, options);
     double mean = 0.0;

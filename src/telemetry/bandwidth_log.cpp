@@ -5,6 +5,7 @@
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <type_traits>
 #include <unordered_map>
 
 #include "util/contracts.h"
@@ -12,18 +13,42 @@
 
 namespace smn::telemetry {
 
-std::unordered_map<util::PairId, std::uint32_t> pair_name_ranks(
-    std::span<const util::PairId> pairs) {
-  std::vector<util::PairId> unique(pairs.begin(), pairs.end());
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+std::vector<std::uint32_t> pair_name_ranks(std::span<const util::PairId> pairs) {
+  if (pairs.empty()) return {};
+  const util::PairId top = *std::max_element(pairs.begin(), pairs.end());
+  SMN_CHECK(top != util::kInvalidPairId, "pair_name_ranks over an invalid PairId");
+  std::vector<std::uint32_t> rank(static_cast<std::size_t>(top) + 1, kUnranked);
+  std::vector<util::PairId> unique;
+  for (const util::PairId p : pairs) {
+    if (rank[p] == kUnranked) {
+      rank[p] = 0;  // seen; the real rank is assigned below
+      unique.push_back(p);
+    }
+  }
   const util::IdSpace& ids = util::IdSpace::global();
   std::sort(unique.begin(), unique.end(),
             [&](util::PairId a, util::PairId b) { return ids.pair_name_less(a, b); });
-  std::unordered_map<util::PairId, std::uint32_t> rank;
-  rank.reserve(unique.size());
-  for (std::uint32_t i = 0; i < unique.size(); ++i) rank.emplace(unique[i], i);
+  for (std::uint32_t i = 0; i < unique.size(); ++i) rank[unique[i]] = i;
   return rank;
+}
+
+PairGroups group_rows_by_pair(std::span<const util::PairId> pairs) {
+  PairGroups groups;
+  if (pairs.empty()) return groups;
+  SMN_CHECK(pairs.size() <= std::numeric_limits<std::uint32_t>::max(),
+            "group_rows_by_pair: row index overflows u32");
+  const util::PairId top = *std::max_element(pairs.begin(), pairs.end());
+  SMN_CHECK(top != util::kInvalidPairId, "group_rows_by_pair over an invalid PairId");
+  // Counting sort: histogram, exclusive prefix sum, then a stable scatter.
+  groups.offset.assign(static_cast<std::size_t>(top) + 2, 0);
+  for (const util::PairId p : pairs) ++groups.offset[p + 1];
+  for (std::size_t p = 1; p < groups.offset.size(); ++p) {
+    groups.offset[p] += groups.offset[p - 1];
+  }
+  std::vector<std::uint32_t> fill(groups.offset.begin(), groups.offset.end() - 1);
+  groups.order.resize(pairs.size());
+  for (std::uint32_t i = 0; i < pairs.size(); ++i) groups.order[fill[pairs[i]]++] = i;
+  return groups;
 }
 
 BandwidthRecord BandwidthLog::record_at(std::size_t i) const {
@@ -65,27 +90,86 @@ void BandwidthLog::append_time_filtered(std::span<const util::SimTime> timestamp
   }
 }
 
+namespace {
+
+// 11-bit digits: a 2048-bucket histogram stays in L1, and one digit covers
+// the name ranks of up to 2048 pairs, two digits a 48-day span of seconds.
+constexpr unsigned kRadixBits = 11;
+constexpr std::size_t kRadix = std::size_t{1} << kRadixBits;
+
+/// Number of radix digits needed to represent `max_key`.
+unsigned digits_for(std::uint64_t max_key) noexcept {
+  unsigned digits = 0;
+  while (max_key != 0) {
+    ++digits;
+    max_key >>= kRadixBits;
+  }
+  return digits;
+}
+
+}  // namespace
+
 void BandwidthLog::sort() {
   SMN_DCHECK(pairs_.size() == timestamps_.size() && bw_.size() == timestamps_.size(),
              "columnar SoA columns diverged");
-  const auto rank = pair_name_ranks(pairs_);
-  std::vector<std::uint32_t> order(record_count());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
-    if (timestamps_[a] != timestamps_[b]) return timestamps_[a] < timestamps_[b];
-    return rank.at(pairs_[a]) < rank.at(pairs_[b]);
-  });
-  std::vector<util::SimTime> ts(record_count());
-  std::vector<util::PairId> pr(record_count());
-  std::vector<double> bw(record_count());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    ts[i] = timestamps_[order[i]];
-    pr[i] = pairs_[order[i]];
-    bw[i] = bw_[order[i]];
+  const std::size_t n = record_count();
+  if (n < 2) return;
+  SMN_CHECK(n <= std::numeric_limits<std::uint32_t>::max(), "sort: row index overflows u32");
+  const std::vector<std::uint32_t> rank = pair_name_ranks(pairs_);
+  const auto [lo, hi] = time_range();
+  std::uint32_t max_rank = 0;
+  for (const std::uint32_t r : rank) {
+    if (r != kUnranked) max_rank = std::max(max_rank, r);
   }
-  timestamps_ = std::move(ts);
-  pairs_ = std::move(pr);
-  bw_ = std::move(bw);
+  // The sort key is (delta, rank) with delta = timestamp - min timestamp:
+  // LSD order sorts the rank digits first, then the time digits. Each key
+  // is split into digits on the fly, so any span of either fits.
+  const unsigned rank_digits = digits_for(max_rank);
+  const unsigned time_digits =
+      digits_for(static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo));
+  const unsigned passes = rank_digits + time_digits;
+  const auto digit_of = [&](std::uint32_t row, unsigned pass) -> std::size_t {
+    if (pass < rank_digits) return (rank[pairs_[row]] >> (pass * kRadixBits)) & (kRadix - 1);
+    const auto delta =
+        static_cast<std::uint64_t>(timestamps_[row]) - static_cast<std::uint64_t>(lo);
+    return static_cast<std::size_t>((delta >> ((pass - rank_digits) * kRadixBits)) &
+                                    (kRadix - 1));
+  };
+
+  // Every pass's histogram comes from one sequential scan: a digit's counts
+  // do not depend on the current order.
+  std::vector<std::uint32_t> counts(static_cast<std::size_t>(passes) * kRadix, 0);
+  for (std::uint32_t row = 0; row < n; ++row) {
+    for (unsigned pass = 0; pass < passes; ++pass) ++counts[pass * kRadix + digit_of(row, pass)];
+  }
+
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  std::vector<std::uint32_t> scratch(n);
+  for (unsigned pass = 0; pass < passes; ++pass) {
+    std::uint32_t* bucket = counts.data() + static_cast<std::size_t>(pass) * kRadix;
+    // A digit every row shares leaves the order as it is.
+    if (bucket[digit_of(order[0], pass)] == n) continue;
+    std::uint32_t next = 0;
+    for (std::size_t d = 0; d < kRadix; ++d) {
+      const std::uint32_t c = bucket[d];
+      bucket[d] = next;
+      next += c;
+    }
+    for (const std::uint32_t row : order) scratch[bucket[digit_of(row, pass)]++] = row;
+    order.swap(scratch);
+  }
+  std::vector<std::uint32_t>().swap(scratch);
+
+  // Gather one column at a time, so at most one column copy is live.
+  const auto gather = [&](auto& column) {
+    std::remove_reference_t<decltype(column)> sorted(n);
+    for (std::size_t i = 0; i < n; ++i) sorted[i] = column[order[i]];
+    column = std::move(sorted);
+  };
+  gather(timestamps_);
+  gather(pairs_);
+  gather(bw_);
 }
 
 std::pair<util::SimTime, util::SimTime> BandwidthLog::time_range() const noexcept {

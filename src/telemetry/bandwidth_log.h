@@ -15,10 +15,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <map>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "util/interner.h"
@@ -112,7 +112,9 @@ class BandwidthLog {
   std::vector<BandwidthRecord> records() const;
 
   /// Stable-sorts by (timestamp, src, dst) — name order, not id order, so
-  /// serialized output is independent of interning history.
+  /// serialized output is independent of interning history. A stable LSD
+  /// radix sort over (timestamp - min timestamp, name rank), rank digits
+  /// first, then time digits: rows with equal keys keep their order.
   void sort();
 
   /// Time range covered: {min_ts, max_ts}; {0, 0} when empty.
@@ -163,11 +165,32 @@ class BandwidthLog {
   std::vector<double> bw_;
 };
 
-/// Ranks the distinct pair ids of `pairs` by (src name, dst name). Id-based
-/// group-by paths sort their output with these ranks so emission order stays
+/// Ranks the distinct pair ids of `pairs` by (src name, dst name). The
+/// result is indexed by PairId and sized by the largest id in `pairs`;
+/// entries of ids absent from `pairs` hold kUnranked. Id-based group-by
+/// paths order their output with these ranks so emission order stays
 /// byte-identical to the old string-keyed std::map paths, independent of
 /// interning history.
-std::unordered_map<util::PairId, std::uint32_t> pair_name_ranks(
-    std::span<const util::PairId> pairs);
+inline constexpr std::uint32_t kUnranked = 0xFFFFFFFFu;
+std::vector<std::uint32_t> pair_name_ranks(std::span<const util::PairId> pairs);
+
+/// Row indices grouped by pair id with one stable counting sort: pair `p`'s
+/// rows are `rows(p)`, in their original (log) order. Pairs absent from the
+/// input have an empty range.
+struct PairGroups {
+  /// order[offset[p] .. offset[p + 1]) are pair p's rows; size max id + 2.
+  std::vector<std::uint32_t> offset;
+  std::vector<std::uint32_t> order;
+
+  /// One past the largest pair id grouped (0 when the input was empty).
+  util::PairId id_bound() const noexcept {
+    return offset.empty() ? 0 : static_cast<util::PairId>(offset.size() - 1);
+  }
+  std::span<const std::uint32_t> rows(util::PairId p) const noexcept {
+    return std::span<const std::uint32_t>(order).subspan(offset[p], offset[p + 1] - offset[p]);
+  }
+};
+
+PairGroups group_rows_by_pair(std::span<const util::PairId> pairs);
 
 }  // namespace smn::telemetry

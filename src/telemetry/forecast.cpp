@@ -9,14 +9,36 @@
 namespace smn::telemetry {
 namespace {
 
-/// Turns one pair's (timestamp -> bandwidth) points into a dense series:
-/// the shared back half of every extract_series flavor.
-Series densify(const std::map<util::SimTime, double>& points, util::SimTime epoch) {
+using Point = std::pair<util::SimTime, double>;
+
+/// Puts one pair's points, given in log order, in ascending timestamp
+/// order with one point per timestamp: the last in log order wins. Runs
+/// that are already ascending (the usual case) skip the sort.
+void order_points(std::vector<Point>& points) {
+  const auto ts_less = [](const Point& a, const Point& b) { return a.first < b.first; };
+  if (!std::is_sorted(points.begin(), points.end(), ts_less)) {
+    std::stable_sort(points.begin(), points.end(), ts_less);
+  }
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (kept > 0 && points[kept - 1].first == points[i].first) {
+      points[kept - 1].second = points[i].second;
+    } else {
+      points[kept++] = points[i];
+    }
+  }
+  points.resize(kept);
+}
+
+/// Turns one pair's points, given in log order, into a dense series: the
+/// shared back half of every extract_series flavor. Reorders `points`.
+Series densify(std::vector<Point>& points, util::SimTime epoch) {
+  order_points(points);
   Series series;
   series.epoch = epoch;
   if (points.empty()) return series;
-  series.start = points.begin()->first;
-  const util::SimTime last = points.rbegin()->first;
+  series.start = points.front().first;
+  const util::SimTime last = points.back().first;
   const auto n = static_cast<std::size_t>((last - series.start) / epoch) + 1;
   series.values.assign(n, std::numeric_limits<double>::quiet_NaN());
   for (const auto& [t, v] : points) {
@@ -68,13 +90,13 @@ Series extract_series(const BandwidthLog& log, const std::string& src, const std
 
 Series extract_series(const BandwidthLog& log, util::PairId pair, util::SimTime epoch) {
   if (epoch <= 0) throw std::invalid_argument("extract_series: epoch must be positive");
-  std::map<util::SimTime, double> points;
+  std::vector<Point> points;
   if (pair != util::kInvalidPairId) {
     const auto timestamps = log.timestamps();
     const auto pairs = log.pair_ids();
     const auto bw = log.bandwidths();
     for (std::size_t i = 0; i < log.record_count(); ++i) {
-      if (pairs[i] == pair) points[timestamps[i]] = bw[i];
+      if (pairs[i] == pair) points.emplace_back(timestamps[i], bw[i]);
     }
   }
   return densify(points, epoch);
@@ -83,18 +105,19 @@ Series extract_series(const BandwidthLog& log, util::PairId pair, util::SimTime 
 std::vector<std::pair<util::PairId, Series>> extract_all_series(const BandwidthLog& log,
                                                                 util::SimTime epoch) {
   if (epoch <= 0) throw std::invalid_argument("extract_all_series: epoch must be positive");
-  // Single scan groups the columnar log; the per-pair maps then densify
-  // exactly like the single-pair path (duplicate timestamps: last wins).
-  std::map<util::PairId, std::map<util::SimTime, double>> grouped;
+  // One counting sort groups the columnar log by pair, each pair's rows in
+  // log order; each group then densifies exactly like the single-pair path
+  // (duplicate timestamps: last wins).
+  const PairGroups groups = group_rows_by_pair(log.pair_ids());
   const auto timestamps = log.timestamps();
-  const auto pairs = log.pair_ids();
   const auto bw = log.bandwidths();
-  for (std::size_t i = 0; i < log.record_count(); ++i) {
-    grouped[pairs[i]][timestamps[i]] = bw[i];
-  }
   std::vector<std::pair<util::PairId, Series>> out;
-  out.reserve(grouped.size());
-  for (const auto& [pair, points] : grouped) {
+  std::vector<Point> points;
+  for (util::PairId pair = 0; pair < groups.id_bound(); ++pair) {
+    const auto rows = groups.rows(pair);
+    if (rows.empty()) continue;
+    points.clear();
+    for (const std::uint32_t row : rows) points.emplace_back(timestamps[row], bw[row]);
     out.emplace_back(pair, densify(points, epoch));
   }
   return out;

@@ -16,7 +16,6 @@
 
 #include <cstddef>
 #include <limits>
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>

@@ -481,8 +481,8 @@ std::size_t BandwidthLogStore::coarsen_older_than(util::SimTime now, util::SimTi
     const auto rank = pair_name_ranks(day_pairs);
     std::sort(merged.begin(), merged.end(),
               [&](const WindowSummary& a, const WindowSummary& b) {
-                const auto ra = rank.at(a.pair);
-                const auto rb = rank.at(b.pair);
+                const auto ra = rank[a.pair];
+                const auto rb = rank[b.pair];
                 if (ra != rb) return ra < rb;
                 return a.window_start < b.window_start;
               });
@@ -567,8 +567,8 @@ BandwidthLog BandwidthLogStore::ReadView::fine_range(util::SimTime begin,
     // Two-iterator merge over the cold tier and the resident slabs, in
     // ascending day order. On a day present in both (re-ingest after a
     // seal), spilled generations precede the resident slab: that is their
-    // ingest order, which the stable sort below must be able to recover
-    // for equal (timestamp, pair) keys.
+    // ingest order, which the stable radix ordering below keeps for equal
+    // (timestamp, pair) keys.
     std::size_t cold = 0;
     std::size_t warm = 0;
     while (cold < shard.spilled.size() || warm < shard.resident.size()) {
@@ -590,9 +590,10 @@ BandwidthLog BandwidthLogStore::ReadView::fine_range(util::SimTime begin,
       }
     }
   }
-  // Stable sort by (timestamp, name rank): rows with equal keys share a
-  // pair, hence a shard, hence their ingest order — so the merged output is
-  // byte-identical to the single-shard store's.
+  // Stable LSD radix ordering by (timestamp, name rank): rows with equal
+  // keys share a pair, hence a shard, and were emitted above in their
+  // ingest order, which a stable sort never reorders — so the merged output
+  // is byte-identical to the single-shard store's.
   out.sort();
   return out;
 }

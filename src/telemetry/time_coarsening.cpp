@@ -134,10 +134,9 @@ CoarseBandwidthLog TimeCoarsener::coarsen(const BandwidthLog& fine) const {
   }
   return emit_sorted(
       buckets, pairs,
-      [](std::uint64_t a, std::uint64_t b,
-         const std::unordered_map<util::PairId, std::uint32_t>& rank) {
-        const auto pa = rank.at(static_cast<util::PairId>(a >> 32));
-        const auto pb = rank.at(static_cast<util::PairId>(b >> 32));
+      [](std::uint64_t a, std::uint64_t b, const std::vector<std::uint32_t>& rank) {
+        const auto pa = rank[static_cast<util::PairId>(a >> 32)];
+        const auto pb = rank[static_cast<util::PairId>(b >> 32)];
         if (pa != pb) return pa < pb;
         return (a & 0xFFFFFFFFu) < (b & 0xFFFFFFFFu);
       },
@@ -221,10 +220,9 @@ CoarseBandwidthLog NestedTimeCoarsener::coarsen(const BandwidthLog& fine) const 
   }
   return emit_sorted(
       buckets, pairs,
-      [](const Key& a, const Key& b,
-         const std::unordered_map<util::PairId, std::uint32_t>& rank) {
-        const auto pa = rank.at(a.pair);
-        const auto pb = rank.at(b.pair);
+      [](const Key& a, const Key& b, const std::vector<std::uint32_t>& rank) {
+        const auto pa = rank[a.pair];
+        const auto pb = rank[b.pair];
         if (pa != pb) return pa < pb;
         if (a.window_start != b.window_start) return a.window_start < b.window_start;
         return a.window_length < b.window_length;
