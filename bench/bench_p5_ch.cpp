@@ -1,5 +1,5 @@
 // PR-6 shortest-path bench — the contraction-hierarchy substrate on the TE
-// hot path. Four legs, all against the flat-CSR ground truth:
+// hot path. Three legs, all against the flat-CSR ground truth:
 //
 //   * failure sweep (the headline gate): single-link routing failure sweep
 //     on the ~308-DC planetary WAN — flat masked Dijkstra trees per
@@ -8,10 +8,6 @@
 //     bit-identical; the full run gates CH >= 10x faster;
 //   * a ~3000-node synthetic WAN re-running the same sweep at scale-out
 //     size (fidelity gated, speedup reported);
-//   * MCF: the FPTAS solver with its oracle swapped to a customizable
-//     hierarchy re-customized to the evolving dual lengths. Different
-//     augmentation schedule, so lambda is gated to the flat lambda within
-//     the approximation band, not bit-equal;
 //   * hierarchical routing: unrestricted distances from CH point queries
 //     vs full Dijkstra trees — reports bit-identical.
 //
@@ -23,12 +19,10 @@
 //               "certified", "fallbacks", "repairs_attempted",
 //               "repairs_succeeded"},
 //     "synthetic": {"build_ms", "flat_ms", "ch_ms", "speedup"},
-//     "mcf": {"flat_ms", "ch_ms", "flat_lambda", "ch_lambda",
-//             "lambda_ratio", "flat_sp_calls", "ch_sp_calls"},
 //     "hierarchical": {"flat_ms", "ch_ms", "speedup"},
 //     "fidelity": {"sweep_identical", "synthetic_identical",
 //                  "counters_partition", "deterministic",
-//                  "hierarchical_identical", "lambda_ok", "speedup_ok"}
+//                  "hierarchical_identical", "speedup_ok"}
 //   }
 //
 // `--smoke` shrinks both WANs and the pair/link counts for the bench_smoke
@@ -203,33 +197,7 @@ int main(int argc, char** argv) {
               synth.datacenter_count(), synth_leg.build_ms, synth_leg.flat_ms, synth_leg.ch_ms,
               synth_leg.speedup, synth_leg.identical ? "identical" : "REPORT MISMATCH");
 
-  // --- Leg 3: MCF with the customizable-hierarchy oracle. ---
-  const auto mcf_commodities = make_commodities(wan, smoke ? 40 : 120, 11);
-  const lp::McfOptions mcf_flat{.epsilon = 0.1};
-  const auto mcf_flat_start = Clock::now();
-  const lp::McfResult mcf_flat_result =
-      lp::max_concurrent_flow(wan.graph(), mcf_commodities, mcf_flat);
-  const double mcf_flat_ms = ms_since(mcf_flat_start);
-
-  graph::ChOptions cch_options;
-  cch_options.customizable = true;
-  graph::ContractionHierarchy cch;
-  cch.build(wan.graph(), cch_options);
-  lp::McfOptions mcf_ch{.epsilon = 0.1};
-  mcf_ch.ch = &cch;
-  const auto mcf_ch_start = Clock::now();
-  const lp::McfResult mcf_ch_result =
-      lp::max_concurrent_flow(wan.graph(), mcf_commodities, mcf_ch);
-  const double mcf_ch_ms = ms_since(mcf_ch_start);
-  const double lambda_ratio =
-      mcf_flat_result.lambda > 0.0 ? mcf_ch_result.lambda / mcf_flat_result.lambda : 0.0;
-  const bool lambda_ok = lambda_ratio >= 0.85 && lambda_ratio <= 1.15;
-  std::printf("mcf: flat %.1f ms lambda %.6f (%zu sp) vs ch %.1f ms lambda %.6f (%zu sp) — "
-              "ratio %.4f\n",
-              mcf_flat_ms, mcf_flat_result.lambda, mcf_flat_result.sp_calls, mcf_ch_ms,
-              mcf_ch_result.lambda, mcf_ch_result.sp_calls, lambda_ratio);
-
-  // --- Leg 4: hierarchical routing with CH point queries. ---
+  // --- Leg 3: hierarchical routing with CH point queries. ---
   routing::HierarchicalRoutingOptions hier_flat;
   hier_flat.sample_pairs = smoke ? 200 : 2000;
   const auto hier_flat_start = Clock::now();
@@ -256,11 +224,10 @@ int main(int argc, char** argv) {
   // short to gate (the fidelity booleans still are).
   const bool speedup_ok = smoke || sweep.speedup >= 10.0;
   std::printf("fidelity: sweep %s, synthetic %s, partition %s, deterministic %s, "
-              "hierarchical %s, lambda %s, speedup %s\n",
+              "hierarchical %s, speedup %s\n",
               sweep.identical ? "ok" : "FAIL", synth_leg.identical ? "ok" : "FAIL",
               counters_partition ? "ok" : "FAIL", deterministic ? "ok" : "FAIL",
-              hier_identical ? "ok" : "FAIL", lambda_ok ? "ok" : "FAIL",
-              speedup_ok ? "ok" : "BELOW 10x GATE");
+              hier_identical ? "ok" : "FAIL", speedup_ok ? "ok" : "BELOW 10x GATE");
 
   std::FILE* out = std::fopen("BENCH_ch.json", "w");
   if (out == nullptr) {
@@ -292,27 +259,20 @@ int main(int argc, char** argv) {
                "\"speedup\": %.3f},\n",
                synth_leg.build_ms, synth_leg.flat_ms, synth_leg.ch_ms, synth_leg.speedup);
   std::fprintf(out,
-               "  \"mcf\": {\"flat_ms\": %.3f, \"ch_ms\": %.3f, \"flat_lambda\": %.9f, "
-               "\"ch_lambda\": %.9f, \"lambda_ratio\": %.6f, \"flat_sp_calls\": %zu, "
-               "\"ch_sp_calls\": %zu},\n",
-               mcf_flat_ms, mcf_ch_ms, mcf_flat_result.lambda, mcf_ch_result.lambda,
-               lambda_ratio, mcf_flat_result.sp_calls, mcf_ch_result.sp_calls);
-  std::fprintf(out,
                "  \"hierarchical\": {\"flat_ms\": %.3f, \"ch_ms\": %.3f, \"speedup\": %.3f},\n",
                hier_flat_ms, hier_ch_ms, hier_speedup);
   std::fprintf(out,
                "  \"fidelity\": {\"sweep_identical\": %s, \"synthetic_identical\": %s, "
                "\"counters_partition\": %s, \"deterministic\": %s, "
-               "\"hierarchical_identical\": %s, \"lambda_ok\": %s, \"speedup_ok\": %s}\n",
+               "\"hierarchical_identical\": %s, \"speedup_ok\": %s}\n",
                sweep.identical ? "true" : "false", synth_leg.identical ? "true" : "false",
                counters_partition ? "true" : "false", deterministic ? "true" : "false",
-               hier_identical ? "true" : "false", lambda_ok ? "true" : "false",
-               speedup_ok ? "true" : "false");
+               hier_identical ? "true" : "false", speedup_ok ? "true" : "false");
   std::fprintf(out, "}\n");
   std::fclose(out);
   std::printf("wrote BENCH_ch.json\n");
   return (sweep.identical && synth_leg.identical && counters_partition && deterministic &&
-          hier_identical && lambda_ok && speedup_ok)
+          hier_identical && speedup_ok)
              ? 0
              : 1;
 }

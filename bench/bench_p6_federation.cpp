@@ -2,8 +2,9 @@
 //
 //   * federated TE (the headline gate): evaluate_federated_te on a 1000+ DC
 //     planetary WAN — the flat single-controller MCF vs the coarse global
-//     solve (CH-routed) plus the per-region refinement fan-out. Full run
-//     gates throughput fidelity >= 0.95 AND federated wall-clock <= flat;
+//     solve (flat MCF on the region graph) plus the per-region refinement
+//     fan-out. Full run gates throughput fidelity >= 0.95 AND federated
+//     wall-clock <= flat;
 //   * merge fidelity: region-partitioned ingest through RegionControllers,
 //     wire-serialized CoarseExports into the GlobalController — the merged
 //     coarse log must be field-for-field identical to one controller

@@ -15,8 +15,9 @@
 //   * customizable (ChOptions::customizable): witness pruning is skipped so
 //     the shortcut structure is metric-independent chordal fill-in;
 //     customize() re-weights every arc for a new metric in one ascending-
-//     rank triangle pass. Serves the MCF solver, whose dual lengths change
-//     after every augmentation.
+//     rank triangle pass. No library caller uses it: the MCF solver's
+//     evolving dual lengths are served faster by flat source-batched
+//     Dijkstra trees (lp/mcf.h).
 //
 // Failure scenarios never rebuild the hierarchy: ChFailureQuery masks downed
 // fine edges at query time (arcs whose unpacked expansion contains a dead

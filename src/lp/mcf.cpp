@@ -4,12 +4,10 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
-#include "graph/ch.h"
 #include "util/contracts.h"
 
 namespace smn::lp {
@@ -98,38 +96,6 @@ McfResult max_concurrent_flow(const graph::Digraph& g, const std::vector<Commodi
   // immutable here, only the length array evolves.
   const graph::CsrAdjacency csr(g);
 
-  // Optional contraction-hierarchy oracle: re-customized to the evolving
-  // dual lengths lazily (once per batch of length bumps, counted as one
-  // sp_call) and then answering exact point queries for that metric.
-  graph::ContractionHierarchy* const ch = options.ch;
-  if (ch != nullptr) {
-    SMN_CHECK(ch->built(), "McfOptions::ch must be built before the solve");
-    SMN_CHECK(ch->options().customizable,
-              "McfOptions::ch must be built with ChOptions::customizable");
-    SMN_CHECK(ch->node_count() == g.node_count(), "McfOptions::ch node-count mismatch");
-    SMN_CHECK(ch->metric().size() == g.edge_count(), "McfOptions::ch edge-count mismatch");
-  }
-  std::optional<graph::ChSearch> ch_search;
-  if (ch != nullptr) ch_search.emplace(*ch);
-  bool ch_stale = true;
-  /// Extracts the current shortest path for commodity `j` into `out`
-  /// (empty = unreachable), refreshing the customization first if any
-  /// augmentation has bumped the lengths since the last refresh.
-  const auto ch_extract = [&](std::size_t j, std::vector<graph::EdgeId>& out) {
-    if (ch_stale) {
-      ch->customize(length);
-      ch_stale = false;
-      ++result.sp_calls;
-    }
-    std::optional<graph::Path> found =
-        ch_search->shortest_path(commodities[j].src, commodities[j].dst);
-    if (found.has_value()) {
-      out = std::move(found->edges);
-    } else {
-      out.clear();
-    }
-  };
-
   /// Sends one augmentation for commodity `j` along `path` (the bottleneck
   /// amount), bumps the traversed lengths, and accumulates the dual
   /// increment. Returns the amount sent; the caller records the path.
@@ -148,7 +114,6 @@ McfResult max_concurrent_flow(const graph::Digraph& g, const std::vector<Commodi
       dual += cap * (length[e] - old_len);
     }
     raw_routed[j] += bottleneck;
-    ch_stale = true;
     return bottleneck;
   };
 
@@ -227,7 +192,7 @@ McfResult max_concurrent_flow(const graph::Digraph& g, const std::vector<Commodi
     // commodities never touch the Dijkstra oracle — when their path goes
     // stale they re-select the currently-shortest cached alternative
     // instead of triggering a tree rebuild.
-    McfPathCache* const warm = ch == nullptr ? options.warm_start : nullptr;
+    McfPathCache* const warm = options.warm_start;
     std::vector<std::vector<std::vector<graph::EdgeId>>> warm_paths(
         warm != nullptr ? commodities.size() : 0);
     // Picks the cached alternative of commodity j that is shortest under the
@@ -306,18 +271,6 @@ McfResult max_concurrent_flow(const graph::Digraph& g, const std::vector<Commodi
                 // and the dual keeps growing — termination is unaffected.
                 warm_reselect(j);
                 ++result.warm_reselects;
-              } else if (ch != nullptr) {
-                // Hierarchy oracle: one lazy customize covers every stale
-                // commodity until the next augmentation, and each member is
-                // a point query — no group tree to rebuild or share.
-                ch_extract(j, cached_path[j]);
-                if (cached_path[j].empty()) {
-                  unreachable[j] = 1;
-                  remaining[j] = 0.0;
-                  continue;
-                }
-                cached_len[j] = path_length_now(cached_path[j]);
-                path_entry[j] = kNoEntry;
               } else if (last_rebuild[gi] != phase) {
                 rebuild_group(gi);
                 last_rebuild[gi] = phase;
@@ -357,24 +310,19 @@ McfResult max_concurrent_flow(const graph::Digraph& g, const std::vector<Commodi
       if (!phase_progress) break;
     }
   } else {
-    // Legacy schedule: one shortest-path query per augmentation, per
-    // commodity (Dijkstra, or a hierarchy point query when ch is set).
+    // Legacy schedule: one Dijkstra per augmentation, per commodity.
     std::vector<graph::EdgeId> aug;
     for (std::size_t phase = 0; phase < options.max_phases && dual < 1.0; ++phase) {
       bool phase_progress = false;
       for (const std::size_t j : active) {
         double remaining = commodities[j].demand;
         while (remaining > 0.0 && dual < 1.0) {
-          if (ch != nullptr) {
-            ch_extract(j, aug);
-          } else {
-            workspace.run(g, {.source = commodities[j].src,
-                              .target = commodities[j].dst,
-                              .edge_length = &length,
-                              .csr = &csr});
-            ++result.sp_calls;
-            workspace.path_into(g, commodities[j].src, commodities[j].dst, aug);
-          }
+          workspace.run(g, {.source = commodities[j].src,
+                            .target = commodities[j].dst,
+                            .edge_length = &length,
+                            .csr = &csr});
+          ++result.sp_calls;
+          workspace.path_into(g, commodities[j].src, commodities[j].dst, aug);
           if (aug.empty()) break;  // disconnected commodity; lambda will be 0
           const double sent = apply_flow(j, aug, remaining);
           remaining -= sent;
@@ -425,7 +373,7 @@ McfResult max_concurrent_flow(const graph::Digraph& g, const std::vector<Commodi
     result.paths.push_back(PathFlow{p.commodity, std::move(p.edges), p.flow * scale});
   }
 
-  if (options.warm_start != nullptr && ch == nullptr && options.batch_by_source) {
+  if (options.warm_start != nullptr && options.batch_by_source) {
     // Rewrite the cache with this solve's own certified path set: per
     // commodity, up to kWarmPathsPerCommodity distinct paths, highest flow
     // first. Consumption stats (hits/misses/invalidated) are left intact

@@ -21,10 +21,6 @@
 #include "graph/digraph.h"
 #include "graph/shortest_path.h"
 
-namespace smn::graph {
-class ContractionHierarchy;
-}  // namespace smn::graph
-
 namespace smn::lp {
 
 struct Commodity {
@@ -118,21 +114,10 @@ struct McfOptions {
   /// certified feasible by the final rescale; set false to reproduce the
   /// one-Dijkstra-per-augmentation schedule.
   bool batch_by_source = true;
-  /// Optional contraction-hierarchy substrate for the shortest-path oracle.
-  /// Must be a *customizable* hierarchy built over the same graph (see
-  /// graph/ch.h): the solver re-customizes it to the current dual lengths
-  /// whenever they go stale (counted in sp_calls) and answers per-commodity
-  /// point queries against it instead of building per-source-group Dijkstra
-  /// trees. The flat CSR path (ch == nullptr, the default) remains the
-  /// ground truth; either oracle yields a certified-feasible solution. The
-  /// hierarchy is mutated (customized) during the solve, so give each
-  /// concurrent solver its own copy.
-  graph::ContractionHierarchy* ch = nullptr;
   /// Optional cross-solve warm start (see McfPathCache): consumed and then
-  /// rewritten by the solve. Honored only on the default batched flat
-  /// oracle (batch_by_source && ch == nullptr) — the legacy and hierarchy
-  /// schedules ignore it. The cache must not be shared across concurrent
-  /// solves.
+  /// rewritten by the solve. Honored only on the default batched schedule
+  /// (batch_by_source) — the unbatched schedule ignores it. The cache must
+  /// not be shared across concurrent solves.
   McfPathCache* warm_start = nullptr;
 };
 

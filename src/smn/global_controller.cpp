@@ -123,9 +123,14 @@ te::FederatedTeReport GlobalController::run_global_te(
   SMN_CHECK(!fine_commodities.empty(), "global TE needs at least one commodity");
   const te::FederatedTeReport report =
       te::evaluate_federated_te(wan_, wan_.region_partition(), fine_commodities, options);
-  mib_.set_gauge("global", "te_lambda_flat", report.lambda_flat);
+  // Without the flat reference solve the report's flat and fidelity fields
+  // are placeholders, not measurements: publishing them would read as
+  // "fidelity 0". The previous reference (if any) stays published.
+  if (options.solve_flat) {
+    mib_.set_gauge("global", "te_lambda_flat", report.lambda_flat);
+    mib_.set_gauge("global", "te_throughput_fidelity", report.throughput_fidelity);
+  }
   mib_.set_gauge("global", "te_lambda_federated", report.lambda_federated);
-  mib_.set_gauge("global", "te_throughput_fidelity", report.throughput_fidelity);
   mib_.set_gauge("global", "te_regions", static_cast<double>(report.regions));
   mib_.set_gauge("global", "te_coarse_commodities",
                  static_cast<double>(report.coarse_commodities));

@@ -4,7 +4,7 @@
 // validates them (known region, strictly increasing sequence), and merges
 // the buffered summaries into one global coarse log in the canonical
 // single-controller emission order. Global TE runs over the coarse
-// inter-region graph through evaluate_federated_te: the CH-routed global
+// inter-region graph through evaluate_federated_te: the flat global MCF
 // solve plus the per-region refinement fan-out, gated against the flat
 // single-controller solve.
 //
@@ -81,8 +81,10 @@ class GlobalController {
       SMN_EXCLUDES(ingest_mutex_);
 
   /// Runs the federated TE pipeline over the WAN's region partition and
-  /// publishes the fidelity/solve gauges under "global". `fine_commodities`
-  /// index into `wan().graph()` node ids.
+  /// publishes the fidelity/solve gauges under "global". The flat-reference
+  /// gauges (te_lambda_flat, te_throughput_fidelity) are published only
+  /// when options.solve_flat ran that reference. `fine_commodities` index
+  /// into `wan().graph()` node ids.
   te::FederatedTeReport run_global_te(const std::vector<lp::Commodity>& fine_commodities,
                                       const te::FederatedTeOptions& options = {});
 

@@ -6,7 +6,6 @@
 #include <map>
 #include <stdexcept>
 
-#include "graph/ch.h"
 #include "graph/shortest_path.h"
 #include "topology/supernode.h"
 #include "util/contracts.h"
@@ -450,26 +449,18 @@ FederatedTeReport evaluate_federated_te(const topology::WanTopology& fine,
   const auto federated_start = Clock::now();
 
   // Global tier: the coarse inter-region graph is all the global controller
-  // sees; its solve rides the customizable contraction hierarchy.
+  // sees. It has one node per region, so the flat oracle every other solve
+  // uses is also the right one here.
   const topology::WanTopology coarse =
       topology::SupernodeCoarsener::coarsen_with_partition(fine, partition);
   const std::vector<lp::Commodity> coarse_commodities =
       aggregate_commodities(fine, partition, fine_commodities);
   report.coarse_commodities = coarse_commodities.size();
 
-  graph::ContractionHierarchy ch;
-  lp::McfOptions global_options = mcf_options;
-  if (options.use_ch) {
-    graph::ChOptions ch_options;
-    ch_options.customizable = true;
-    ch.build(coarse.graph(), ch_options);
-    global_options.ch = &ch;
-  }
   lp::McfResult global_solution;
   {
     const auto start = Clock::now();
-    global_solution =
-        lp::max_concurrent_flow(coarse.graph(), coarse_commodities, global_options);
+    global_solution = lp::max_concurrent_flow(coarse.graph(), coarse_commodities, mcf_options);
     report.global_solve_ms = elapsed_ms(start);
   }
   report.lambda_global_nominal = global_solution.lambda;

@@ -99,21 +99,25 @@ std::vector<lp::Commodity> aggregate_commodities(const topology::WanTopology& fi
 //
 // The two-level solve the controller federation runs: the global controller
 // optimizes the coarse inter-region graph (the only thing its exports let
-// it see), routed through the customizable contraction hierarchy, while
-// each region re-solves its *intra-region* commodities as an independent
-// MCF on its own subgraph — replacing the realization step's shortest-path
-// default with a real per-region optimization. The regional solves are
-// embarrassingly parallel and fan out over a thread pool; results land in
-// per-region slots, so the report is identical for every thread count.
+// it see) with the same flat max_concurrent_flow every other tier uses,
+// while each region re-solves its *intra-region* commodities as an
+// independent MCF on its own subgraph — replacing the realization step's
+// shortest-path default with a real per-region optimization. The regional
+// solves are embarrassingly parallel and fan out over a thread pool;
+// results land in per-region slots, so the report is identical for every
+// thread count.
+//
+// The global graph has one node per region (35 on a 1050-DC WAN), too
+// small for a contraction hierarchy to pay: routing this solve through a
+// customizable CH made each federated call on that WAN take about 0.34 s
+// median against 0.20 s flat (perfbench large_wan, 4-core x86 box), at
+// lambda_federated within 0.2%.
 
 struct FederatedTeOptions {
   double epsilon = 0.05;  ///< MCF accuracy, all tiers
   /// Workers for the per-region refinement fan-out (0 = hardware
   /// concurrency). Each regional solve runs serially inside its slot.
   std::size_t threads = 1;
-  /// Route the global coarse solve through a customizable contraction
-  /// hierarchy (graph/ch.h) instead of the flat CSR oracle.
-  bool use_ch = true;
   /// Also run the flat single-controller solve as the fidelity reference.
   /// Skipping it leaves the flat/fidelity fields zero.
   bool solve_flat = true;

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "graph/ch.h"
 #include "topology/wan_generator.h"
 
 namespace smn::lp {
@@ -146,61 +145,6 @@ TEST(Mcf, WorksOnGeneratedWan) {
   }
 }
 
-TEST(Mcf, HierarchyOracleStaysWithinApproximationAndFeasible) {
-  // Swapping the shortest-path oracle to a customizable hierarchy changes
-  // the augmentation schedule (point queries may pick different equal-cost
-  // paths than the grouped trees), so flows are not bit-equal to the flat
-  // schedule — but both are certified feasible (1 - O(eps)) approximations,
-  // so lambda must land close and every invariant must hold.
-  const topology::WanTopology wan = topology::generate_test_wan();
-  std::vector<Commodity> demands;
-  const auto n = static_cast<graph::NodeId>(wan.datacenter_count());
-  for (graph::NodeId s = 0; s < n; ++s) {
-    demands.push_back({s, static_cast<graph::NodeId>((s + 5) % n), 50.0 + 10.0 * s});
-  }
-  for (const bool batch : {true, false}) {
-    const McfResult flat = max_concurrent_flow(
-        wan.graph(), demands, {.epsilon = 0.05, .batch_by_source = batch});
-
-    graph::ChOptions ch_options;
-    ch_options.customizable = true;
-    graph::ContractionHierarchy ch;
-    ch.build(wan.graph(), ch_options);
-    McfOptions options;
-    options.epsilon = 0.05;
-    options.batch_by_source = batch;
-    options.ch = &ch;
-    const McfResult routed = max_concurrent_flow(wan.graph(), demands, options);
-
-    EXPECT_GT(routed.lambda, 0.0) << "batch=" << batch;
-    EXPECT_NEAR(routed.lambda, flat.lambda, 0.15 * flat.lambda) << "batch=" << batch;
-    for (graph::EdgeId e = 0; e < wan.graph().edge_count(); ++e) {
-      EXPECT_LE(routed.edge_flow[e], wan.graph().edge(e).capacity + 1e-9);
-    }
-    std::vector<double> reconstructed(wan.graph().edge_count(), 0.0);
-    for (const PathFlow& p : routed.paths) {
-      for (const graph::EdgeId e : p.edges) reconstructed[e] += p.flow;
-    }
-    for (graph::EdgeId e = 0; e < wan.graph().edge_count(); ++e) {
-      EXPECT_NEAR(reconstructed[e], routed.edge_flow[e], 1e-9);
-    }
-    for (std::size_t j = 0; j < demands.size(); ++j) {
-      EXPECT_GE(routed.routed[j] + 1e-9, routed.lambda * demands[j].demand);
-    }
-
-    // The oracle swap is deterministic: a fresh hierarchy reproduces the
-    // solve bit for bit.
-    graph::ContractionHierarchy ch2;
-    ch2.build(wan.graph(), ch_options);
-    McfOptions options2 = options;
-    options2.ch = &ch2;
-    const McfResult again = max_concurrent_flow(wan.graph(), demands, options2);
-    EXPECT_EQ(again.lambda, routed.lambda);
-    EXPECT_EQ(again.sp_calls, routed.sp_calls);
-    EXPECT_EQ(again.edge_flow, routed.edge_flow);
-  }
-}
-
 /// A WAN-sized instance with enough commodities that the warm-start cache
 /// carries real structure.
 std::vector<Commodity> wan_demands(const topology::WanTopology& wan) {
@@ -310,7 +254,7 @@ TEST(McfWarmStart, StalePathsInvalidateAndNewCommoditiesFallBackCold) {
   }
 }
 
-TEST(McfWarmStart, HierarchyAndUnbatchedSchedulesIgnoreTheCache) {
+TEST(McfWarmStart, UnbatchedScheduleIgnoresTheCache) {
   const topology::WanTopology wan = topology::generate_test_wan();
   const std::vector<Commodity> demands = wan_demands(wan);
   McfPathCache cache;
@@ -320,15 +264,27 @@ TEST(McfWarmStart, HierarchyAndUnbatchedSchedulesIgnoreTheCache) {
   max_concurrent_flow(wan.graph(), demands, options);
   ASSERT_FALSE(cache.entries.empty());
 
-  McfPathCache untouched = cache;
-  McfOptions unbatched = options;
+  // The one-Dijkstra-per-augmentation schedule neither reads the cache
+  // (the solve is bit-equal to a cacheless one) nor rewrites it.
+  McfOptions unbatched;
+  unbatched.epsilon = 0.05;
   unbatched.batch_by_source = false;
+  const McfResult cold = max_concurrent_flow(wan.graph(), demands, unbatched);
+  McfPathCache untouched = cache;
   unbatched.warm_start = &untouched;
   const McfResult legacy = max_concurrent_flow(wan.graph(), demands, unbatched);
   EXPECT_EQ(legacy.warm_hits, 0u);
   EXPECT_EQ(legacy.warm_misses, 0u);
-  EXPECT_GT(legacy.sp_calls, 0u);
-  EXPECT_EQ(untouched.entries.size(), cache.entries.size());
+  EXPECT_EQ(legacy.warm_reselects, 0u);
+  EXPECT_EQ(legacy.lambda, cold.lambda);
+  EXPECT_EQ(legacy.sp_calls, cold.sp_calls);
+  EXPECT_EQ(legacy.edge_flow, cold.edge_flow);
+  ASSERT_EQ(untouched.entries.size(), cache.entries.size());
+  for (std::size_t i = 0; i < cache.entries.size(); ++i) {
+    EXPECT_EQ(untouched.entries[i].src, cache.entries[i].src);
+    EXPECT_EQ(untouched.entries[i].dst, cache.entries[i].dst);
+    EXPECT_EQ(untouched.entries[i].paths, cache.entries[i].paths);
+  }
 }
 
 TEST(FixedRouting, ComputesLambdaAndUtilization) {

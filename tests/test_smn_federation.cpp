@@ -17,6 +17,7 @@
 #include "smn/region_controller.h"
 #include "te/demand.h"
 #include "telemetry/traffic_generator.h"
+#include "topology/supernode.h"
 #include "topology/wan_generator.h"
 #include "util/contracts.h"
 #include "util/interner.h"
@@ -352,12 +353,16 @@ TEST(Failover, AdoptionReplaysSpillDirByteIdentically) {
 
 // -------------------------------------------------------- federated TE --
 
+/// The federated TE leg's demand: mean bandwidth per pair over three days.
+std::vector<lp::Commodity> mean_commodities(const topology::WanTopology& wan) {
+  const te::DemandMatrix matrix =
+      te::DemandMatrix::from_log(three_days_log(wan), te::DemandStatistic::kMean);
+  return matrix.to_commodities(wan);
+}
+
 TEST(FederatedTe, ReportIsConsistentAndWithinFidelityGate) {
   const topology::WanTopology wan = topology::generate_test_wan();
-  const telemetry::BandwidthLog log = three_days_log(wan);
-  const te::DemandMatrix matrix =
-      te::DemandMatrix::from_log(log, te::DemandStatistic::kMean);
-  const std::vector<lp::Commodity> commodities = matrix.to_commodities(wan);
+  const std::vector<lp::Commodity> commodities = mean_commodities(wan);
   ASSERT_FALSE(commodities.empty());
 
   GlobalController global(wan);
@@ -378,12 +383,69 @@ TEST(FederatedTe, ReportIsConsistentAndWithinFidelityGate) {
   EXPECT_DOUBLE_EQ(*published, report.throughput_fidelity);
 }
 
+TEST(FederatedTe, FlatReferenceGaugesPublishedOnlyWhenTheReferenceRan) {
+  const topology::WanTopology wan = topology::generate_test_wan();
+  const std::vector<lp::Commodity> commodities = mean_commodities(wan);
+
+  // Without the flat reference there is no fidelity to report: the gauges
+  // stay absent instead of reading 0.
+  GlobalController skipped(wan);
+  te::FederatedTeOptions no_flat;
+  no_flat.solve_flat = false;
+  const te::FederatedTeReport partial = skipped.run_global_te(commodities, no_flat);
+  EXPECT_EQ(partial.lambda_flat, 0.0);
+  EXPECT_FALSE(skipped.mib().get("global", "te_lambda_flat").has_value());
+  EXPECT_FALSE(skipped.mib().get("global", "te_throughput_fidelity").has_value());
+  const auto federated = skipped.mib().get("global", "te_lambda_federated");
+  ASSERT_TRUE(federated.has_value());
+  EXPECT_EQ(*federated, partial.lambda_federated);
+
+  GlobalController full(wan);
+  const te::FederatedTeReport report = full.run_global_te(commodities);
+  const auto flat = full.mib().get("global", "te_lambda_flat");
+  const auto fidelity = full.mib().get("global", "te_throughput_fidelity");
+  ASSERT_TRUE(flat.has_value());
+  ASSERT_TRUE(fidelity.has_value());
+  EXPECT_GT(*flat, 0.0);
+  EXPECT_EQ(*flat, report.lambda_flat);
+  EXPECT_EQ(*fidelity, report.throughput_fidelity);
+
+  // A later solve without the reference leaves the last measured one in
+  // place rather than overwriting it with placeholders.
+  full.run_global_te(commodities, no_flat);
+  EXPECT_EQ(full.mib().get("global", "te_lambda_flat"), flat);
+  EXPECT_EQ(full.mib().get("global", "te_throughput_fidelity"), fidelity);
+}
+
+TEST(FederatedTe, GlobalTierIsThePlainMcfOnTheRegionGraph) {
+  // One code path: the global tier's figures are exactly those of a direct
+  // max_concurrent_flow over the coarsened region graph and the aggregated
+  // commodities, at the same epsilon.
+  const topology::WanTopology wan = topology::generate_test_wan();
+  const std::vector<lp::Commodity> commodities = mean_commodities(wan);
+  const graph::Partition& partition = wan.region_partition();
+
+  te::FederatedTeOptions options;
+  options.epsilon = 0.1;
+  options.solve_flat = false;
+  const te::FederatedTeReport report =
+      te::evaluate_federated_te(wan, partition, commodities, options);
+
+  const topology::WanTopology coarse =
+      topology::SupernodeCoarsener::coarsen_with_partition(wan, partition);
+  const std::vector<lp::Commodity> aggregated =
+      te::aggregate_commodities(wan, partition, commodities);
+  const lp::McfResult direct =
+      lp::max_concurrent_flow(coarse.graph(), aggregated, {.epsilon = options.epsilon});
+  EXPECT_GT(direct.lambda, 0.0);
+  EXPECT_EQ(report.lambda_global_nominal, direct.lambda);
+  EXPECT_EQ(report.global_sp_calls, direct.sp_calls);
+  EXPECT_EQ(report.coarse_commodities, aggregated.size());
+}
+
 TEST(FederatedTe, DeterministicAcrossThreadCounts) {
   const topology::WanTopology wan = topology::generate_test_wan();
-  const telemetry::BandwidthLog log = three_days_log(wan);
-  const te::DemandMatrix matrix =
-      te::DemandMatrix::from_log(log, te::DemandStatistic::kMean);
-  const std::vector<lp::Commodity> commodities = matrix.to_commodities(wan);
+  const std::vector<lp::Commodity> commodities = mean_commodities(wan);
 
   te::FederatedTeOptions serial;
   serial.threads = 1;
@@ -393,6 +455,8 @@ TEST(FederatedTe, DeterministicAcrossThreadCounts) {
       te::evaluate_federated_te(wan, wan.region_partition(), commodities, serial);
   const te::FederatedTeReport b =
       te::evaluate_federated_te(wan, wan.region_partition(), commodities, parallel);
+  EXPECT_EQ(a.lambda_global_nominal, b.lambda_global_nominal);
+  EXPECT_EQ(a.global_sp_calls, b.global_sp_calls);
   EXPECT_EQ(a.lambda_federated, b.lambda_federated);
   EXPECT_EQ(a.admitted_federated_gbps, b.admitted_federated_gbps);
   EXPECT_EQ(a.refined_commodities, b.refined_commodities);

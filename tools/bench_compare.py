@@ -99,16 +99,11 @@ POLICIES: dict[str, dict[str, list]] = {
             "sweep.fallbacks",
             "sweep.repairs_attempted",
             "sweep.repairs_succeeded",
-            "mcf.flat_lambda",
-            "mcf.ch_lambda",
-            "mcf.flat_sp_calls",
-            "mcf.ch_sp_calls",
             "fidelity.sweep_identical",
             "fidelity.synthetic_identical",
             "fidelity.counters_partition",
             "fidelity.deterministic",
             "fidelity.hierarchical_identical",
-            "fidelity.lambda_ok",
             "fidelity.speedup_ok",
         ],
         "ratio": [],
